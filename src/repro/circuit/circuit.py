@@ -11,13 +11,19 @@ class Circuit:
     """A named collection of gates with fanout bookkeeping.
 
     Signals and gates are identified by the same names: the gate named
-    ``s`` drives signal ``s``.
+    ``s`` drives signal ``s``.  A signal some gate reads but no gate
+    drives is *undriven*: it has no entry in :meth:`fanouts`, so the
+    implication engine never revisits its readers when it is implied.
     """
 
     def __init__(self, name: str = "circuit"):
         self.name = name
         self.gates: Dict[str, Gate] = {}
         self._fanouts: Optional[Dict[str, List[str]]] = None
+        #: The implication kernel's compiled form
+        #: (:class:`repro.atpg.implication.CompiledCircuit`), built and
+        #: patched by that module; every structural edit here drops it.
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -26,7 +32,7 @@ class Circuit:
         if gate.name in self.gates:
             raise ValueError(f"duplicate gate name {gate.name!r}")
         self.gates[gate.name] = gate
-        self._fanouts = None
+        self.invalidate()
         return gate
 
     def add_pi(self, name: str) -> Gate:
@@ -40,16 +46,22 @@ class Circuit:
 
     def remove_gate(self, name: str) -> None:
         del self.gates[name]
-        self._fanouts = None
+        self.invalidate()
 
     def invalidate(self) -> None:
         """Call after mutating a gate's input list in place."""
         self._fanouts = None
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     def fanouts(self) -> Dict[str, List[str]]:
+        """Gate name -> names of the gates reading it, in gate order.
+
+        Only driven signals (gates) have entries; a gate appears once
+        per input edge reading the signal.
+        """
         if self._fanouts is None:
             table: Dict[str, List[str]] = {name: [] for name in self.gates}
             for gate in self.gates.values():

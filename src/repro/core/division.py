@@ -44,7 +44,13 @@ from repro.twolevel.cover import Cover
 from repro.twolevel.complement import complement
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
-from repro.atpg.implication import Conflict, ImplicationEngine
+from repro.atpg.implication import (
+    Conflict,
+    ImplicationEngine,
+    compiled,
+    drop_gate,
+    replace_gate,
+)
 from repro.atpg.learning import learn_implications
 from repro.network.factor import factored_literals
 from repro.network.network import Network
@@ -232,34 +238,45 @@ class _RegionRemover:
     def _install_cube_gate(self, index: int, cube: Cube) -> None:
         name = dividend_cube_signal(self.f_name, index)
         inputs = [(self.shared[v], p) for v, p in cube.literals()]
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
         if inputs:
-            self.circuit.add_and(name, inputs)
+            gate = Gate(name, GateKind.AND, inputs)
         else:
-            self.circuit.add_gate(Gate(name, GateKind.CONST1))
+            gate = Gate(name, GateKind.CONST1)
+        replace_gate(self.circuit, gate)
 
     def _drop_cube_gate(self, index: int) -> None:
-        name = dividend_cube_signal(self.f_name, index)
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
+        drop_gate(self.circuit, dividend_cube_signal(self.f_name, index))
 
     # -- fault checks ---------------------------------------------------
-    def _base_assignments(self, active: int) -> List[Tuple[str, bool]]:
-        assignments = [self.divisor_assignment]
+    def _base_assignments(self, active: int) -> List[Tuple[int, bool]]:
+        """Signal-id assignments shared by every fault of cube *active*.
+
+        Ids stay valid while the kernel is patched (not recompiled).
+        """
+        sid = compiled(self.circuit).id
+        divisor, value = self.divisor_assignment
+        assignments = [(sid(divisor), value)]
         for j in self.region:
             if j != active:
                 assignments.append(
-                    (dividend_cube_signal(self.f_name, j), False)
+                    (sid(dividend_cube_signal(self.f_name, j)), False)
                 )
         for signal in self.remainder_signals:
-            assignments.append((signal, False))
+            assignments.append((sid(signal), False))
         return assignments
 
-    def _conflicts(self, assignments: List[Tuple[str, bool]]) -> bool:
+    def _cube_literals(self, index: int) -> List[Tuple[int, int, bool]]:
+        """``(var, signal id, phase)`` for each literal of a region cube."""
+        sid = compiled(self.circuit).id
+        return [
+            (v, sid(self.shared[v]), p)
+            for v, p in self.region[index].literals()
+        ]
+
+    def _conflicts(self, assignments: List[Tuple[int, bool]]) -> bool:
         engine = ImplicationEngine(self.circuit)
         try:
-            engine.assign_many(assignments)
+            engine.assign_many_ids(assignments)
             engine.propagate()
             if self.config.learn_depth > 0:
                 learn_implications(engine, self.config.learn_depth)
@@ -267,32 +284,39 @@ class _RegionRemover:
             return True
         return False
 
-    def _literal_removable(self, index: int, var: int, phase: bool) -> bool:
+    def _literal_removable(
+        self,
+        index: int,
+        var: int,
+        phase: bool,
+        base: List[Tuple[int, bool]],
+        literals: List[Tuple[int, int, bool]],
+    ) -> bool:
         """Stuck-at-1 test of one literal wire of a region cube."""
         if self.budget is not None:
             self.budget.check_deadline()
-        cube = self.region[index]
-        assignments = self._base_assignments(index)
-        assignments.append((self.shared[var], not phase))
-        for v, p in cube.literals():
-            if v != var:
-                assignments.append((self.shared[v], p))
+        assignments = list(base)
+        assignments += [(sid, not phase) for v, sid, _ in literals if v == var]
+        assignments += [(sid, p) for v, sid, p in literals if v != var]
         if self._conflicts(assignments):
             return True
         if self.removal_oracle is not None:
             candidate = dict(self.region)
-            candidate[index] = cube.without_var(var)
+            candidate[index] = self.region[index].without_var(var)
             return self.removal_oracle(candidate)
         return False
 
-    def _cube_removable(self, index: int) -> bool:
+    def _cube_removable(
+        self,
+        index: int,
+        base: List[Tuple[int, bool]],
+        literals: List[Tuple[int, int, bool]],
+    ) -> bool:
         """Stuck-at-0 test of a region cube's OR input."""
         if self.budget is not None:
             self.budget.check_deadline()
-        cube = self.region[index]
-        assignments = self._base_assignments(index)
-        for v, p in cube.literals():
-            assignments.append((self.shared[v], p))
+        assignments = list(base)
+        assignments.extend((sid, p) for _, sid, p in literals)
         if self._conflicts(assignments):
             return True
         if self.removal_oracle is not None:
@@ -307,15 +331,23 @@ class _RegionRemover:
         while changed:
             changed = False
             for index in sorted(self.region):
-                cube = self.region[index]
-                for var, phase in list(cube.literals()):
-                    if self._literal_removable(index, var, phase):
-                        cube = cube.without_var(var)
+                # One assignment list per cube visit; every fault of the
+                # cube extends it.
+                base = self._base_assignments(index)
+                literals = self._cube_literals(index)
+                for var, phase in list(self.region[index].literals()):
+                    if self._literal_removable(
+                        index, var, phase, base, literals
+                    ):
+                        cube = self.region[index].without_var(var)
                         self.region[index] = cube
                         self._install_cube_gate(index, cube)
+                        literals = [lit for lit in literals if lit[0] != var]
                         self.wires_removed += 1
                         changed = True
-                if len(self.region) > 1 and self._cube_removable(index):
+                if len(self.region) > 1 and self._cube_removable(
+                    index, base, literals
+                ):
                     del self.region[index]
                     self._drop_cube_gate(index)
                     self.cubes_removed += 1

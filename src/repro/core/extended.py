@@ -38,7 +38,7 @@ from repro.twolevel.cover import Cover
 from repro.twolevel.complement import complement
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
-from repro.atpg.implication import Conflict, ImplicationEngine
+from repro.atpg.implication import Conflict, ImplicationEngine, compiled
 from repro.atpg.learning import learn_implications
 from repro.network.network import Network
 from repro.core.config import DivisionConfig
@@ -175,22 +175,35 @@ def build_vote_table(
                 else:
                     circuit.add_gate(Gate(name, GateKind.CONST1))
 
+    # Signal ids, once per table: every wire's fault reuses them.
+    sid = compiled(circuit).id
+    cube_ids = [sid(cube_signal(f_name, i)) for i in range(len(dividend.cubes))]
+    d_signal = divisor_cube_signal if form == "sop" else dual_cube_signal
+    divisor_ids = {
+        d_name: [sid(d_signal(d_name, j)) for j in range(len(cover.cubes))]
+        for d_name, cover in divisor_cubes.items()
+    }
     entries: List[VoteEntry] = []
     for i, cube in enumerate(dividend.cubes):
-        for var, phase in cube.literals():
-            entry = _vote_for_wire(
-                circuit,
-                f_name,
-                shared,
-                dividend,
-                divisor_cubes,
-                i,
-                var,
-                phase,
-                config,
-                form,
+        literals = [(v, sid(shared[v]), p) for v, p in cube.literals()]
+        others = [(cid, False) for j, cid in enumerate(cube_ids) if j != i]
+        for var, var_sid, phase in literals:
+            assignments = [(var_sid, not phase)]
+            assignments.extend((s, p) for v, s, p in literals if v != var)
+            assignments.extend(others)
+            entries.append(
+                _vote_for_wire(
+                    circuit,
+                    assignments,
+                    cube,
+                    divisor_cubes,
+                    divisor_ids,
+                    i,
+                    var,
+                    phase,
+                    config,
+                )
             )
-            entries.append(entry)
     return VoteTable(
         f_name=f_name,
         shared=shared,
@@ -203,32 +216,19 @@ def build_vote_table(
 
 def _vote_for_wire(
     circuit: Circuit,
-    f_name: str,
-    shared: List[str],
-    dividend: Cover,
+    assignments: List[Tuple[int, bool]],
+    cube: Cube,
     divisor_cubes: Dict[str, Cover],
+    divisor_ids: Dict[str, List[int]],
     cube_index: int,
     var: int,
     phase: bool,
     config: DivisionConfig,
-    form: str = "sop",
 ) -> VoteEntry:
-    cube_signal = (
-        dividend_cube_signal if form == "sop" else dual_cube_signal
-    )
-    d_signal = divisor_cube_signal if form == "sop" else dual_cube_signal
-    cube = dividend.cubes[cube_index]
-    assignments: List[Tuple[str, bool]] = [(shared[var], not phase)]
-    for v, p in cube.literals():
-        if v != var:
-            assignments.append((shared[v], p))
-    for j in range(len(dividend.cubes)):
-        if j != cube_index:
-            assignments.append((cube_signal(f_name, j), False))
-
+    """One wire's vote from its stuck-at-1 mandatory *assignments* (ids)."""
     engine = ImplicationEngine(circuit)
     try:
-        engine.assign_many(assignments)
+        engine.assign_many_ids(assignments)
         engine.propagate()
         if config.learn_depth > 0:
             learn_implications(engine, config.learn_depth)
@@ -239,8 +239,8 @@ def _vote_for_wire(
     for d_name, cover in divisor_cubes.items():
         zeros = frozenset(
             j
-            for j in range(len(cover.cubes))
-            if engine.value(d_signal(d_name, j)) is False
+            for j, d_sid in enumerate(divisor_ids[d_name])
+            if engine.value_id(d_sid) is False
         )
         # Feasibility (Table I(b)): the candidate must be an SOS of the
         # wire's own cube, i.e. some implied-zero divisor cube must

@@ -221,17 +221,19 @@ class ProcessExecutor:
         )
 
     def _shutdown_pool(self, pool, cancel: bool) -> None:
-        """Tear one pool down; never block behind a wedged worker.
+        """Tear one pool down; never block behind a worker.
 
-        A pool flagged suspect by the stall watchdog may hold a worker
-        that will not finish its task for an arbitrarily long time, so
-        ``shutdown(wait=True)`` (the default) could hang the main
-        process on exactly the fault the watchdog contained.  For
-        suspect pools, shut down without waiting and terminate the
-        worker processes directly.
+        Every shard the engine needs has been reaped by the time a pool
+        is closed, so joining the exiting workers would only add their
+        exit latency (a few ms per run, a large share of a small run)
+        to the caller's wall time: the pool's own management thread
+        joins them in the background instead.  A pool flagged suspect
+        by the stall watchdog may hold a worker that will not finish
+        its task for an arbitrarily long time, so its worker processes
+        are terminated directly.
         """
         if not self._pool_suspect:
-            pool.shutdown(cancel_futures=cancel)
+            pool.shutdown(wait=False, cancel_futures=cancel)
             return
         processes = list(getattr(pool, "_processes", {}).values())
         pool.shutdown(wait=False, cancel_futures=True)

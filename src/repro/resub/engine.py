@@ -48,7 +48,12 @@ import time
 import types
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.atpg.implication import Conflict, ImplicationEngine
+from repro.atpg.implication import (
+    Conflict,
+    ImplicationEngine,
+    drop_gate,
+    replace_gate,
+)
 from repro.atpg.learning import learn_implications
 from repro.core.config import DivisionConfig
 from repro.core.division import build_analysis_circuit, dividend_cube_signal
@@ -107,17 +112,14 @@ class _CoverCleaner:
 
         name = dividend_cube_signal(self.f_name, index)
         inputs = [(self.shared[v], p) for v, p in cube.literals()]
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
         if inputs:
-            self.circuit.add_and(name, inputs)
+            gate = Gate(name, GateKind.AND, inputs)
         else:
-            self.circuit.add_gate(Gate(name, GateKind.CONST1))
+            gate = Gate(name, GateKind.CONST1)
+        replace_gate(self.circuit, gate)
 
     def _drop_cube_gate(self, index) -> None:
-        name = dividend_cube_signal(self.f_name, index)
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
+        drop_gate(self.circuit, dividend_cube_signal(self.f_name, index))
 
     def _conflicts(self, assignments) -> bool:
         engine = ImplicationEngine(self.circuit)
