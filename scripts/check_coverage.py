@@ -43,28 +43,30 @@ PACKAGE_ROOT = SRC / "repro"
 
 #: Ratcheted minimum line coverage (percent) per package: set a few
 #: points under the measured full-tier-1 value (2026-08, all packages
-#: were 86.0-96.1%) so incidental drift fails loudly without making
-#: timing-dependent branches flaky.  The obs subsystem additionally
-#: carries the hard acceptance floor of 90% — its floor covers the
+#: were 86.0-96.1%; re-measured 2026-10 in the comments below) so
+#: incidental drift fails loudly without making timing-dependent
+#: branches flaky.  The obs subsystem additionally carries the hard
+#: acceptance floor of 90% — its floor covers the
 #: analyze/export/history/regress analytics storey too; raise floors
 #: as coverage improves, never lower them to dodge a failure.
 FLOORS: Dict[str, float] = {
-    "obs": 94.0,       # measured 95.9 incl. analytics; hard req >= 90
-    "atpg": 92.0,      # measured 95.2
-    "baselines": 90.0,  # measured 94.6
+    "obs": 94.0,       # measured 95.6 incl. analytics; hard req >= 90
+    "atpg": 92.0,      # measured 96.9
+    "baselines": 90.0,  # measured 94.9
     "bdd": 91.0,       # measured 94.7
-    "circuit": 91.0,   # measured 94.5
-    "core": 90.0,      # measured 93.6
+    "circuit": 91.0,   # measured 94.9
+    "core": 90.0,      # measured 94.9
     "network": 92.0,   # measured 95.4
-    "parallel": 91.0,  # measured 94.5
-    "resilience": 90.0,  # measured 93.3
-    "sat": 90.0,       # hard acceptance floor for the SAT backend
-    "resub": 90.0,     # hard acceptance floor for the simguided engine
-    "scripts": 91.0,   # measured 95.2
+    "parallel": 91.0,  # measured 95.5
+    "resilience": 90.0,  # measured 93.7
+    "sat": 90.0,       # measured 95.2; hard floor for the SAT backend
+    "resub": 90.0,     # measured 93.2; hard floor for the simguided engine
+    "scripts": 91.0,   # measured 92.9
     "sim": 91.0,       # measured 94.2
-    "twolevel": 93.0,  # measured 96.1
+    "twolevel": 93.0,  # measured 96.4
     "(root)": 88.0,    # measured 92.1 (cli.py, __main__.py)
-    "bench": 85.0,     # measured 86.0 (drivers exercised via bench_smoke)
+    "bench": 85.0,     # measured 84.99 (759/893): obs-overhead smoke skips
+                       # itself under settrace, so its driver goes unseen
 }
 
 

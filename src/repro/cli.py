@@ -214,8 +214,8 @@ def _optimize_main(argv: List[str]) -> int:
         default=None,
         metavar="SECONDS",
         help=(
-            "emit resource_sample telemetry (RSS, CPU split, GC, "
-            "/dev/shm usage) every SECONDS into the trace stream "
+            "emit resource_sample telemetry (RSS, CPU split, GC) "
+            "every SECONDS into the trace stream "
             "(needs --trace, --live or --profile*; default: 0.5 with "
             "--live, else off; 0 disables)"
         ),

@@ -87,18 +87,10 @@ class DivisionConfig:
     #: historical oracle, exact up to ~24 PIs then degrading to a wide
     #: random screen), "sat" solves a CNF miter with the CDCL engine
     #: (:mod:`repro.sat`), and "auto" picks BDDs up to
-    #: ``sat_pi_threshold`` inputs and SAT above — the threshold where
-    #: BDD cones start blowing up and exhaustive methods are out.
+    #: :data:`~repro.network.verify.SAT_PI_THRESHOLD` inputs and SAT
+    #: above — the threshold where BDD cones start blowing up and
+    #: exhaustive methods are out.
     verify_backend: str = "auto"
-
-    #: Conflict budget per SAT solve; an exhausted search reports
-    #: ``complete=False`` and the caller falls back conservatively
-    #: (same contract as the D-alg backtrack budget).
-    sat_conflict_budget: int = 100_000
-
-    #: PI count above which ``verify_backend="auto"`` switches from
-    #: BDDs to the SAT miter.
-    sat_pi_threshold: int = 16
 
     #: Prune division candidates with bit-parallel simulation
     #: signatures (see :mod:`repro.sim`).  The filter is sound — it
@@ -174,23 +166,6 @@ class DivisionConfig:
     #: equivalence check every this-many commits; the others use the
     #: cheap signature/simulation screen.
     verify_full_every: int = 16
-
-    #: Failed speculative work batches are re-dispatched onto a fresh
-    #: process pool this many times before the shard degrades to the
-    #: in-process serial backend.
-    max_shard_retries: int = 2
-
-    #: Shards kept in flight per worker by the pipelined dispatcher
-    #: (window = ``max(2, n_jobs * pipeline_depth)``), so worker
-    #: evaluation overlaps the main process's commit loop instead of
-    #: meeting it at a per-pass barrier.
-    pipeline_depth: int = 2
-
-    #: Ship signature bitmaps to the persistent pool through one
-    #: ``multiprocessing.shared_memory`` segment instead of pickling
-    #: them into every worker (falls back to the inline snapshot where
-    #: shared memory is unavailable).
-    share_signatures: bool = True
 
     #: ``method="simguided"``: divisor candidates collected into each
     #: target node's window (closest supports first; the truth-table
@@ -277,14 +252,6 @@ class DivisionConfig:
             raise ValueError(
                 "verify_backend must be 'auto', 'bdd' or 'sat'"
             )
-        if self.sat_conflict_budget < 0:
-            raise ValueError("sat_conflict_budget must be >= 0")
-        if self.sat_pi_threshold < 0:
-            raise ValueError("sat_pi_threshold must be >= 0")
-        if self.max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be >= 0")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
 
 
 #: Configuration 1 of the paper's experiments.

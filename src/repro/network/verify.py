@@ -81,27 +81,35 @@ def networks_equivalent(a: Network, b: Network) -> bool:
 
 
 #: PI count above which ``backend="auto"`` stops building BDD cones
-#: and hands the miter to the SAT engine instead.  Mirrors
-#: ``DivisionConfig.sat_pi_threshold``; callers with a config pass its
-#: value through.
+#: and hands the miter to the SAT engine instead.
 SAT_PI_THRESHOLD = 16
+
+
+def uses_sat(backend: str, n_pis: int) -> bool:
+    """True iff an exact check over *n_pis* primary inputs goes to the
+    SAT miter: ``backend="sat"``, or ``"auto"`` above
+    :data:`SAT_PI_THRESHOLD` inputs.  Every BDD-or-SAT choice in the
+    package goes through here."""
+    return backend == "sat" or (
+        backend == "auto" and n_pis > SAT_PI_THRESHOLD
+    )
 
 
 def exact_equivalent(
     a: Network,
     b: Network,
     backend: str = "auto",
-    sat_pi_threshold: int = SAT_PI_THRESHOLD,
-    conflict_budget: Optional[int] = None,
     tracer=None,
 ) -> bool:
     """Exact combinational equivalence through the selected backend.
 
     ``backend="bdd"`` forces :func:`networks_equivalent`;
     ``backend="sat"`` forces the CNF miter; ``"auto"`` uses BDDs up to
-    *sat_pi_threshold* primary inputs (where cones are cheap and the
-    answer is instant) and SAT above.  A SAT solve that exhausts its
-    conflict budget (``complete=False``) falls back to a wide random
+    :data:`SAT_PI_THRESHOLD` primary inputs (where cones are cheap and
+    the answer is instant) and SAT above (:func:`uses_sat`).  A SAT
+    solve that exhausts its conflict budget
+    (:data:`~repro.sat.check.DEFAULT_CONFLICT_BUDGET`, reported as
+    ``complete=False``) falls back to a wide random
     screen — the same degradation the pre-SAT code applied beyond 24
     inputs — so this function always terminates with a verdict; only
     an exhausted-budget path is probabilistic, and the span/counters
@@ -109,16 +117,11 @@ def exact_equivalent(
     """
     if backend not in ("auto", "bdd", "sat"):
         raise ValueError(f"unknown verify backend {backend!r}")
-    n_pis = len(set(a.pis) | set(b.pis))
-    if backend == "bdd" or (backend == "auto" and n_pis <= sat_pi_threshold):
+    if not uses_sat(backend, len(set(a.pis) | set(b.pis))):
         return networks_equivalent(a, b)
-    from repro.sat.check import DEFAULT_CONFLICT_BUDGET, sat_equivalent
+    from repro.sat.check import sat_equivalent
 
-    if conflict_budget is None:
-        conflict_budget = DEFAULT_CONFLICT_BUDGET
-    verdict = sat_equivalent(
-        a, b, conflict_budget=conflict_budget, tracer=tracer
-    )
+    verdict = sat_equivalent(a, b, tracer=tracer)
     if verdict.complete:
         return bool(verdict.verdict)
     return simulate_equivalent(a, b, patterns=2048)

@@ -38,7 +38,7 @@ And the live-telemetry storey (PR 10):
   truncated tails;
 * :mod:`repro.obs.resource` — a background sampler emitting
   ``resource_sample`` instants (RSS / peak RSS, CPU split, GC
-  collections and pause wall, ``/dev/shm`` signature usage);
+  collections and pause wall);
 * :mod:`repro.obs.health` — worker heartbeat files and the
   executor-side stall watchdog behind ``--heartbeat-dir`` /
   ``--stall-timeout``;

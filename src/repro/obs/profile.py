@@ -33,7 +33,6 @@ PROFILE_PHASES = (
     "resub_window",
     "resub_resyn",
     "resub_validate",
-    "shm_publish",
     "delta_ship",
     "delta_apply",
     "resource_sample",

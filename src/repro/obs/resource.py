@@ -1,4 +1,4 @@
-"""Process resource telemetry: RSS, CPU split, GC pauses, shm usage.
+"""Process resource telemetry: RSS, CPU split, GC pauses.
 
 Emits schema-v1 ``resource_sample`` point events so resource data
 rides the existing trace pipeline — same JSONL files, same merge
@@ -29,12 +29,6 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, Tracer
-
-#: Shared-memory segment prefix used by the parallel engine for
-#: signature bitmaps (kept in lockstep with
-#: ``repro.parallel.engine.SHM_PREFIX``; a test asserts equality —
-#: importing it here would create an obs → parallel cycle).
-SIGNATURE_SHM_PREFIX = "repro_sig_"
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -76,22 +70,6 @@ def cpu_split() -> Dict[str, float]:
 def gc_collections_total() -> int:
     """Total collections across all GC generations since start."""
     return sum(int(stat.get("collections", 0)) for stat in gc.get_stats())
-
-
-def shm_usage(prefix: str = SIGNATURE_SHM_PREFIX, root: str = "/dev/shm") -> int:
-    """Total bytes of shared-memory segments matching *prefix*."""
-    total = 0
-    try:
-        with os.scandir(root) as entries:
-            for entry in entries:
-                if entry.name.startswith(prefix):
-                    try:
-                        total += entry.stat().st_size
-                    except OSError:
-                        pass
-    except OSError:
-        return 0
-    return total
 
 
 class GcPauseMonitor:
@@ -143,7 +121,6 @@ class GcPauseMonitor:
 
 def sample_attrs(
     monitor: Optional[GcPauseMonitor] = None,
-    shm_prefix: str = SIGNATURE_SHM_PREFIX,
 ) -> Dict[str, object]:
     """One resource snapshot as a flat attrs dict (all JSON-ready)."""
     cpu = cpu_split()
@@ -153,7 +130,6 @@ def sample_attrs(
         "cpu_user_seconds": cpu["user"],
         "cpu_system_seconds": cpu["system"],
         "gc_collections": gc_collections_total(),
-        "shm_bytes": shm_usage(shm_prefix),
     }
     if monitor is not None:
         attrs["gc_pause_seconds"] = monitor.pause_seconds

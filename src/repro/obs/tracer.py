@@ -60,11 +60,10 @@ SPAN_KINDS = frozenset(
         "resub_window",    # simguided: divisor window for one target
         "resub_resyn",     # simguided: subset enumeration + resynthesis
         "resub_validate",  # simguided: exact check of one candidate
-        "shm_publish",   # engine: signature bitmap published to /dev/shm
         "delta_apply",   # worker: catch-up replay of commit deltas
         "delta_ship",    # engine: cumulative delta handed to a shard
         # Live-telemetry instants (zero-duration point events).
-        "resource_sample",  # RSS / CPU / GC / shm usage snapshot
+        "resource_sample",  # RSS / CPU / GC snapshot
         "heartbeat",        # worker liveness mark at a batch boundary
         "stall",            # watchdog: shard silent past the threshold
     }

@@ -23,7 +23,6 @@ from repro.parallel.delta import (
     diff_network,
 )
 from repro.parallel.engine import (
-    SHM_PREFIX,
     ShardDispatcher,
     SpeculativeEngine,
     SpeculativeStore,
@@ -46,7 +45,6 @@ __all__ = [
     "capture_states",
     "cumulative_record",
     "diff_network",
-    "SHM_PREFIX",
     "ShardDispatcher",
     "SpeculativeEngine",
     "SpeculativeStore",

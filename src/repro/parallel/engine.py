@@ -8,11 +8,10 @@ exploits that with a **persistent worker-pool runtime** — one pool per
 overlapping phases per substitution pass:
 
 **Speculate.**  On the first pass :meth:`SpeculativeEngine.precompute`
-freezes the network into a base payload (shipped once — signature
-bitmaps ride in a ``multiprocessing.shared_memory`` segment when
-available), spawns the executor, and enumerates the same candidate
-pairs the serial greedy loop would visit.  From then on only
-:class:`~repro.parallel.delta.DeltaRecord` lists of the committed
+freezes the network and its signature bitmaps into a base payload
+(unpickled once per worker), spawns the executor, and enumerates the
+same candidate pairs the serial greedy loop would visit.  From then on
+only :class:`~repro.parallel.delta.DeltaRecord` lists of the committed
 rewrites ever cross the process boundary — at every pass start *and*
 mid-pass, right before each shard submitted after a commit — and the
 workers replay them onto their resident copies, refreshing their
@@ -56,7 +55,6 @@ differential fuzz suite and the commit-protocol property tests).
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -70,7 +68,7 @@ from repro.parallel.delta import (
     cumulative_record,
     diff_network,
 )
-from repro.parallel.executor import make_executor, resolve_backend
+from repro.parallel.executor import make_executor
 from repro.parallel.worker import PairOutcome, make_payload
 from repro.resilience import inject
 
@@ -81,9 +79,10 @@ Pair = Tuple[str, str]
 #: involving the node is unchanged (non-GDC modes).
 NodeState = Tuple[Tuple[str, ...], object]
 
-#: Prefix of every shared-memory segment the engine creates, so the
-#: hygiene tests can scan ``/dev/shm`` for leaks.
-SHM_PREFIX = "repro_sig_"
+#: Shards kept in flight per worker on a concurrent backend, so worker
+#: evaluation overlaps the main process's commit loop instead of
+#: meeting it at a per-pass barrier.
+PIPELINE_DEPTH = 2
 
 
 def _node_state(network: Network, name: str) -> Optional[NodeState]:
@@ -253,7 +252,7 @@ def shard_pairs(
 class ShardDispatcher:
     """Pipelined shard dispatch for one substitution pass.
 
-    Keeps up to ``window = max(2, n_jobs * pipeline_depth)`` shards in
+    Keeps up to ``window = PIPELINE_DEPTH * n_jobs`` shards in
     flight on the engine's persistent executor and reaps them lazily:
     :meth:`ensure` blocks only until the shard holding the requested
     pair is done, then refills the window, so workers keep evaluating
@@ -297,9 +296,8 @@ class ShardDispatcher:
         self._submitted: Set[int] = set()
         self._reaped: Set[int] = set()
         self._inflight = 0
-        config = engine.config
         if getattr(engine.executor, "concurrent", True):
-            self.window = max(2, config.n_jobs * config.pipeline_depth)
+            self.window = PIPELINE_DEPTH * engine.config.n_jobs
         else:
             # The in-process backend evaluates synchronously at submit
             # time: there is nothing to overlap, and a deeper window
@@ -450,15 +448,14 @@ class ShardDispatcher:
 
 class SpeculativeEngine:
     """Per-run driver of the persistent pool: spawned on the first
-    pass, it keeps the executor, the shared-memory signature segment,
-    the shipped-state map and the delta log alive across passes, and
-    accumulates executor statistics so
+    pass, it keeps the executor, the shipped-state map and the delta
+    log alive across passes, and accumulates executor statistics so
     :func:`~repro.core.substitution.substitute_network` can fold them
     into its :class:`SubstitutionStats` once at the end.
 
     Lifecycle: ``precompute`` per pass → ``finish_pass`` per pass →
     ``close`` exactly once (the caller holds it in a ``finally``), which
-    shuts the pool down and unlinks the shared-memory segment.
+    shuts the pool down.
     """
 
     def __init__(self, config: DivisionConfig):
@@ -501,8 +498,6 @@ class SpeculativeEngine:
         }
         self.network: Optional[Network] = None
         self.executor = None
-        self._shm = None
-        self._shm_serial = 0
         #: States as of the last ship (change detection + per-ship
         #: node counting) and as of the base snapshot (what respawned
         #: workers start from — the cumulative record diffs against
@@ -533,15 +528,10 @@ class SpeculativeEngine:
         """First pass (or after a teardown): ship the base snapshot and
         spawn the persistent executor."""
         config = self.config
-        sim_ref = None
-        if sim_filter is not None:
-            sim_ref = self._share_signatures(sim_filter.sim, tracer)
-            if sim_ref is None:
-                sim_ref = sim_filter.sim.snapshot()
         payload = make_payload(
             network,
             config,
-            sim_ref,
+            None if sim_filter is None else sim_filter.sim.snapshot(),
             trace=tracer.enabled,
             heartbeat_dir=config.heartbeat_dir,
         )
@@ -551,7 +541,6 @@ class SpeculativeEngine:
             config.n_jobs,
             config.parallel_backend,
             injection=inject.active(),
-            max_retries=config.max_shard_retries,
             stall_timeout=config.stall_timeout_seconds,
         )
         self._shipped = capture_states(network)
@@ -561,45 +550,13 @@ class SpeculativeEngine:
         self._cumulative_bytes = 0
         self._generation = 0
 
-    def _share_signatures(self, sim, tracer):
-        """Try to park the signature bitmaps in shared memory; ``None``
-        falls back to the inline snapshot dict."""
-        if not self.config.share_signatures:
-            return None
-        if resolve_backend(self.config.parallel_backend) != "process":
-            # In-process backends read the parent's memory anyway; a
-            # segment would only add lifecycle risk.
-            return None
-        self._release_shm()
-        self._shm_serial += 1
-        name = f"{SHM_PREFIX}{os.getpid()}_{self._shm_serial}"
-        try:
-            with tracer.span("shm_publish", name=name) as span:
-                shm, ref = sim.to_shared(name)
-                span.annotate(bytes=shm.size, nodes=len(ref.names))
-        except (ImportError, OSError):
-            return None
-        self._shm = shm
-        return ref
-
-    def _release_shm(self) -> None:
-        shm, self._shm = self._shm, None
-        if shm is None:
-            return
-        try:
-            shm.close()
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
     def teardown_executor(self) -> None:
-        """Shut the executor down and release the segment; the next
-        pass starts over from a fresh base snapshot."""
+        """Shut the executor down; the next pass starts over from a
+        fresh base snapshot."""
         executor, self.executor = self.executor, None
         if executor is not None:
             self._fold_executor(executor)
             executor.close(cancel=True)
-        self._release_shm()
         self._shipped = None
         self._base_states = None
         self._ever_updated = set()
@@ -773,11 +730,11 @@ class SpeculativeEngine:
             self._fold_executor(self.executor)
 
     def close(self) -> None:
-        """Run teardown: shut the pool down, unlink shared memory.
+        """Run teardown: shut the pool down.
 
         Idempotent; the caller invokes it from a ``finally`` so a
-        budget stop or an engine error can never leak worker processes
-        or a ``/dev/shm`` segment."""
+        budget stop or an engine error can never leak worker
+        processes."""
         self._dispatcher = None
         self.teardown_executor()
 

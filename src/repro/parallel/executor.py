@@ -25,7 +25,7 @@ Fault containment (the process backend's retry ladder):
    pool, a pickling error or a worker-raised exception marks just that
    *shard* as failed and counts a ``worker_fault``;
 2. failed shards are re-dispatched onto a **fresh** pool up to
-   ``max_retries`` times (``shards_redispatched``).  A crashed
+   :data:`MAX_SHARD_RETRIES` times (``shards_redispatched``).  A crashed
    ``ProcessPoolExecutor`` poisons every outstanding future, so on
    failure the executor first drains everything in flight, then
    rebuilds the pool once for the whole failure wave; respawned
@@ -67,6 +67,10 @@ from repro.parallel.worker import (
 )
 
 Pair = Tuple[str, str]
+
+#: Redispatches onto a fresh process pool a failed shard gets before
+#: it degrades to in-process evaluation (rung 3 of the ladder).
+MAX_SHARD_RETRIES = 2
 
 
 @dataclasses.dataclass
@@ -131,16 +135,6 @@ class SerialExecutor:
     def result(self, index: int) -> List[PairOutcome]:
         return self._results.pop(index)
 
-    # -- batch compatibility API ---------------------------------------
-    def evaluate(
-        self, batches: Sequence[Sequence[Pair]]
-    ) -> List[PairOutcome]:
-        out: List[PairOutcome] = []
-        for index, batch in enumerate(batches):
-            self.submit(index, batch)
-            out.extend(self.result(index))
-        return out
-
     def close(self, cancel: bool = False) -> None:
         self._context = None
         self._results.clear()
@@ -172,11 +166,9 @@ class ProcessExecutor:
         payload: bytes,
         n_jobs: int,
         injection=None,
-        max_retries: int = 2,
         stall_timeout: Optional[float] = None,
     ):
         self.workers = n_jobs
-        self.max_retries = max_retries
         self.worker_faults = 0
         self.shards_redispatched = 0
         self.degraded_to_serial = 0
@@ -390,7 +382,7 @@ class ProcessExecutor:
         exhausted: List[int] = []
         for index in sorted(failed):
             task = self._tasks[index]
-            if task.retries < self.max_retries:
+            if task.retries < MAX_SHARD_RETRIES:
                 retryable.append(index)
             else:
                 exhausted.append(index)
@@ -433,19 +425,6 @@ class ProcessExecutor:
                 self.evaluate_seconds += time.perf_counter() - start
             self.trace_events.extend(self._fallback.tracer.drain())
 
-    # ------------------------------------------------------------------
-    # Batch compatibility API
-    # ------------------------------------------------------------------
-    def evaluate(
-        self, batches: Sequence[Sequence[Pair]]
-    ) -> List[PairOutcome]:
-        for index, batch in enumerate(batches):
-            self.submit(index, batch)
-        out: List[PairOutcome] = []
-        for index in range(len(batches)):
-            out.extend(self.result(index))
-        return out
-
 
 def resolve_backend(backend: str) -> str:
     """Resolve the ``"auto"`` backend to a concrete one.
@@ -466,7 +445,6 @@ def make_executor(
     n_jobs: int,
     backend: str,
     injection=None,
-    max_retries: int = 2,
     stall_timeout: Optional[float] = None,
 ):
     """Build the configured executor over a snapshot *payload*."""
@@ -479,7 +457,6 @@ def make_executor(
                 payload,
                 n_jobs,
                 injection=injection,
-                max_retries=max_retries,
                 stall_timeout=stall_timeout,
             )
         except (ImportError, OSError):

@@ -3,11 +3,9 @@
 A worker owns a private copy of the network, unpickled **once per
 process lifetime** from the base snapshot payload (pool initializer,
 or a plain in-process copy for the ``serial`` backend), plus an
-optional :class:`DivisorFilter` whose signatures come either from an
-inline snapshot dict or — the persistent-pool default — from a
-:class:`~repro.sim.signature.SharedSignatureRef` pointing at the
-bitmaps in shared memory (the worker attaches, reads, and closes the
-mapping; only the main process ever unlinks the segment).
+optional :class:`DivisorFilter` whose signatures are restored from the
+inline :meth:`~repro.sim.signature.SignatureSimulator.snapshot` dict
+that rides in the same payload.
 
 Across substitution passes the worker stays resident: instead of fresh
 snapshot pickles it receives :class:`~repro.parallel.delta.DeltaRecord`
@@ -45,7 +43,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.delta import DeltaRecord, apply_pending
 from repro.resilience import inject
 from repro.sim.filter import DivisorFilter
-from repro.sim.signature import SharedSignatureRef, SignatureSimulator
+from repro.sim.signature import SignatureSimulator
 
 
 @dataclasses.dataclass
@@ -78,7 +76,7 @@ class WorkerContext:
 
     def __init__(self, payload: bytes, injection=None):
         build_start = time.perf_counter()
-        network, config, sim_ref, trace, heartbeat_dir = pickle.loads(
+        network, config, sim_snapshot, trace, heartbeat_dir = pickle.loads(
             payload
         )
         self.network: Network = network
@@ -91,11 +89,8 @@ class WorkerContext:
         self.batches_evaluated = 0
         self.pairs_done = 0
         self.filter: Optional[DivisorFilter] = None
-        if sim_ref is not None:
-            if isinstance(sim_ref, SharedSignatureRef):
-                sim = SignatureSimulator.from_shared(network, sim_ref)
-            else:
-                sim = SignatureSimulator.from_snapshot(network, sim_ref)
+        if sim_snapshot is not None:
+            sim = SignatureSimulator.from_snapshot(network, sim_snapshot)
             self.filter = DivisorFilter(network, config, sim=sim)
         self._n_enabled = len(enabled_attempts(config))
         #: Mutation generation of the held network copy; batches carry
@@ -301,10 +296,8 @@ def make_payload(
 ) -> bytes:
     """Pickle the base snapshot shipped to every worker exactly once.
 
-    *sim_snapshot* is ``None``, an inline
-    :meth:`~repro.sim.signature.SignatureSimulator.snapshot` dict, or a
-    :class:`~repro.sim.signature.SharedSignatureRef` (the bitmaps stay
-    in shared memory and only the small ref rides in the pickle).
+    *sim_snapshot* is ``None`` or a
+    :meth:`~repro.sim.signature.SignatureSimulator.snapshot` dict.
     *trace* arms the workers' local tracers; their spans come back
     with each shard result (see :func:`_pool_evaluate`).
     *heartbeat_dir* arms the per-batch heartbeat files.

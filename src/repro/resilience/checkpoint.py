@@ -7,9 +7,10 @@ and the :class:`CommitLedger` spot-checks the whole network against the
 pre-optimization reference before the commit is kept.  The spot check
 is the cheap maintained-signature / random-simulation screen
 (:func:`~repro.network.verify.simulate_equivalent_prescreened`); every
-``verify_full_every``-th commit is instead checked *exactly* (BDD
-equivalence for networks with few inputs, a much wider random screen
-otherwise).
+``verify_full_every``-th commit is instead checked *exactly*: the SAT
+miter where :func:`~repro.network.verify.uses_sat` picks it, BDD
+equivalence otherwise, and a much wider random screen for BDD checks
+beyond ``_EXACT_PI_LIMIT`` inputs or an exhausted SAT budget.
 
 A miscompare rolls the commit back, quarantines the (dividend,
 divisor) pair for the rest of the run — the pair is never evaluated or
@@ -28,6 +29,7 @@ from repro.network.verify import (
     networks_equivalent,
     simulate_equivalent,
     simulate_equivalent_prescreened,
+    uses_sat,
 )
 
 logger = logging.getLogger("repro.resilience")
@@ -97,25 +99,11 @@ class CommitLedger:
         )
 
     def _full_check(self, network: Network) -> bool:
-        backend = getattr(self.config, "verify_backend", "auto")
         n_pis = len(network.pis)
-        if backend == "sat" or (
-            backend == "auto"
-            and n_pis > getattr(self.config, "sat_pi_threshold", 16)
-        ):
-            from repro.sat.check import (
-                DEFAULT_CONFLICT_BUDGET,
-                sat_equivalent,
-            )
+        if uses_sat(self.config.verify_backend, n_pis):
+            from repro.sat.check import sat_equivalent
 
-            verdict = sat_equivalent(
-                self.reference,
-                network,
-                conflict_budget=getattr(
-                    self.config, "sat_conflict_budget",
-                    DEFAULT_CONFLICT_BUDGET,
-                ),
-            )
+            verdict = sat_equivalent(self.reference, network)
             self.sat_solves += 1
             self.sat_conflicts += verdict.conflicts
             self.sat_decisions += verdict.decisions

@@ -28,7 +28,8 @@ directly from signatures and then proves it:
    with the target on sampled patterns, which proves nothing, so every
    survivor is checked *exactly* against the pre-run reference through
    the ``verify_backend`` dispatch (BDD cones up to
-   ``sat_pi_threshold`` PIs, the CNF miter above).  A SAT don't-know
+   :data:`~repro.network.verify.SAT_PI_THRESHOLD` PIs, the CNF miter
+   above).  A SAT don't-know
    (exhausted conflict budget) **rejects** the candidate: unlike
    division — whose rewrites carry an a-priori redundancy argument and
    may degrade to a wide random screen — a simguided candidate has no
@@ -61,7 +62,7 @@ from repro.core.substitution import SubstitutionStats, _Snapshot
 from repro.network.dontcares import DontCareComputer
 from repro.network.factor import factored_literals, network_literals
 from repro.network.network import Network, eval_cover_packed
-from repro.network.verify import networks_equivalent
+from repro.network.verify import networks_equivalent, uses_sat
 from repro.obs.tracer import NULL_TRACER, as_tracer
 from repro.resilience.budget import BudgetExhausted, RunBudget
 from repro.resilience.checkpoint import CommitLedger
@@ -217,22 +218,14 @@ def _validate_exact(
     conflict budget (don't-know) — the engine rejects on None.
     """
     n_pis = len(set(reference.pis) | set(network.pis))
-    backend = config.verify_backend
     with tracer.span("resub_validate", pis=n_pis) as span:
-        if backend == "bdd" or (
-            backend == "auto" and n_pis <= config.sat_pi_threshold
-        ):
+        if not uses_sat(config.verify_backend, n_pis):
             ok = networks_equivalent(reference, network)
             span.annotate(backend="bdd", ok=ok)
             return ok
         from repro.sat.check import sat_equivalent
 
-        verdict = sat_equivalent(
-            reference,
-            network,
-            conflict_budget=config.sat_conflict_budget,
-            tracer=tracer,
-        )
+        verdict = sat_equivalent(reference, network, tracer=tracer)
         stats.sat_solves += 1
         stats.sat_conflicts += verdict.conflicts
         stats.sat_decisions += verdict.decisions

@@ -100,7 +100,13 @@ def test_per_batch_wire_cost_is_amortized():
 @pytest.mark.bench_smoke
 def test_benchmark_report_written(tmp_path):
     out = tmp_path / "BENCH_parallel.json"
-    report = run_parallel_benchmark(["rnd1", "rnd3"], BASIC, (2,), out)
+    report = run_parallel_benchmark(
+        ["rnd1", "rnd3"],
+        BASIC,
+        (2,),
+        out,
+        history_path=tmp_path / "history.jsonl",
+    )
     assert out.exists()
     on_disk = json.loads(out.read_text())
     assert on_disk["all_output_identical"] is True

@@ -8,13 +8,11 @@ from repro.obs import resource
 from repro.obs.resource import (
     GcPauseMonitor,
     ResourceSampler,
-    SIGNATURE_SHM_PREFIX,
     cpu_split,
     gc_collections_total,
     peak_rss_bytes,
     rss_bytes,
     sample_attrs,
-    shm_usage,
 )
 from repro.obs.tracer import Tracer, validate_trace_event
 
@@ -40,22 +38,6 @@ class TestReaders:
         before = gc_collections_total()
         gc.collect()
         assert gc_collections_total() >= before + 1
-
-    def test_shm_usage_of_missing_root_is_zero(self, tmp_path):
-        assert shm_usage(root=str(tmp_path / "nope")) == 0
-
-    def test_shm_usage_sums_matching_segments_only(self, tmp_path):
-        (tmp_path / f"{SIGNATURE_SHM_PREFIX}1_0").write_bytes(b"x" * 100)
-        (tmp_path / f"{SIGNATURE_SHM_PREFIX}1_1").write_bytes(b"y" * 50)
-        (tmp_path / "unrelated").write_bytes(b"z" * 999)
-        assert shm_usage(root=str(tmp_path)) == 150
-
-    def test_prefix_matches_parallel_engine(self):
-        # Duplicated constant (an import here would create an
-        # obs -> parallel cycle); this pins the two together.
-        from repro.parallel.engine import SHM_PREFIX
-
-        assert SIGNATURE_SHM_PREFIX == SHM_PREFIX
 
 
 class TestGcPauseMonitor:
@@ -91,7 +73,6 @@ class TestSampleAttrs:
             "cpu_user_seconds",
             "cpu_system_seconds",
             "gc_collections",
-            "shm_bytes",
         }
         assert all(
             isinstance(value, (int, float)) for value in attrs.values()

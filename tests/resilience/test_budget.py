@@ -154,5 +154,3 @@ class TestFromConfig:
             DivisionConfig(max_run_backtracks=-2)
         with pytest.raises(ValueError):
             DivisionConfig(verify_full_every=0)
-        with pytest.raises(ValueError):
-            DivisionConfig(max_shard_retries=-1)
