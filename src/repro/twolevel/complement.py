@@ -2,17 +2,21 @@
 
 ``complement(F)`` returns a cover of NOT F.  The recursion splits on
 the most binate variable and merges the two half-space complements;
-unate covers get the cheaper sharp-based treatment, and tiny supports
-fall back to a truth table.
+tiny supports fall back to a truth table.
+
+``complement_supercube(F)`` returns the smallest cube containing NOT F
+(Espresso's SCCC) by the same recursion, without building the
+complement: REDUCE reads nothing else of it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List
+from typing import List, Optional
 
-from repro.twolevel.cube import Cube
+from repro.twolevel.cube import Cube, _var_truth_mask
 from repro.twolevel.cover import Cover
+from repro.twolevel.tautology import is_tautology
 
 _TRUTH_TABLE_LIMIT = 10
 
@@ -67,8 +71,67 @@ def _complement(cover: Cover) -> Cover:
     return Cover(cover.num_vars, cubes)
 
 
-def _truth_table_complement(cover: Cover, support) -> Cover:
-    """Exact complement over a small support, then a greedy cube cover."""
+def complement_supercube(cover: Cover) -> Optional[Cube]:
+    """The smallest cube containing NOT *cover*; ``None`` if that is empty.
+
+    Equals the supercube of ``complement(cover)``, and of every other
+    exact cover of NOT *cover*: its literals are exactly the literals
+    NOT *cover* implies.
+    """
+    if cover.is_zero():
+        return Cube.full()
+    if cover.is_one_cube():
+        return None
+    if len(cover.cubes) == 1:
+        # NOT (l1 l2 ...) = l1' + l2' + ...: one literal or none shared.
+        literals = list(cover.cubes[0].literals())
+        if len(literals) == 1:
+            var, phase = literals[0]
+            return Cube.literal(var, not phase)
+        return Cube.full()
+
+    support = cover.support_vars()
+    if len(support) <= _TRUTH_TABLE_LIMIT:
+        return _truth_table_supercube(cover, support)
+
+    var = cover.most_binate_var()
+    assert var is not None  # constants were handled above
+    pos_cof = cover.cofactor(var, True)
+    neg_cof = cover.cofactor(var, False)
+    # NOT F = x NOT F_x + x' NOT F_x'; neither half mentions x.
+    pos_sc = complement_supercube(pos_cof)
+    if pos_sc is not None and pos_sc.is_full():
+        # Full whatever the other half is, unless that half is empty.
+        return Cube.literal(var, True) if is_tautology(neg_cof) else pos_sc
+    neg_sc = complement_supercube(neg_cof)
+    if neg_sc is None:
+        if pos_sc is None:
+            return None
+        return pos_sc.intersect(Cube.literal(var, True))
+    if pos_sc is None:
+        return neg_sc.intersect(Cube.literal(var, False))
+    return pos_sc.supercube(neg_sc)
+
+
+def _truth_table_supercube(cover: Cover, support) -> Optional[Cube]:
+    """SCCC over a small support: test each literal against the off mask."""
+    n = len(support)
+    full = (1 << (1 << n)) - 1
+    off = full & ~_compact_mask(cover, support)
+    if not off:
+        return None
+    pos = neg = 0
+    for i, var in enumerate(support):
+        var_mask = _var_truth_mask(n, i)
+        if not off & ~var_mask:
+            pos |= 1 << var
+        elif not off & var_mask:
+            neg |= 1 << var
+    return Cube(pos, neg)
+
+
+def _compact_mask(cover: Cover, support) -> int:
+    """Truth-table mask of *cover* over its *support*, renumbered from 0."""
     index = {var: i for i, var in enumerate(support)}
     n = len(support)
     mask = 0
@@ -77,8 +140,14 @@ def _truth_table_complement(cover: Cover, support) -> Cover:
             [(index[v], phase) for v, phase in cube.literals()]
         )
         mask |= compact.truth_mask(n)
+    return mask
+
+
+def _truth_table_complement(cover: Cover, support) -> Cover:
+    """Exact complement over a small support, then a greedy cube cover."""
+    n = len(support)
     full = (1 << (1 << n)) - 1
-    full_off = full & ~mask
+    full_off = full & ~_compact_mask(cover, support)
     off = full_off
     cubes: List[Cube] = []
     while off:

@@ -8,7 +8,7 @@ reproducible experiment tables.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.twolevel.cube import Cube
 
@@ -196,23 +196,63 @@ class Cover:
         return Cover(self.num_vars, result)
 
     def single_cube_containment(self) -> "Cover":
-        """Drop cubes contained in another single cube of the cover."""
+        """Drop cubes contained in another single cube of the cover.
+
+        A cube survives iff no other distinct cube contains it; of
+        equal cubes the first occurrence survives, and survivors keep
+        their original order.
+
+        A cube containing ``c`` has fewer literals than ``c`` and none
+        outside ``c``'s.  So the distinct cubes are ranked by literal
+        count, and each cube starts from the bitset of the ranks below
+        its count.  Per variable it then strikes out the ranks carrying
+        a literal ``c`` lacks (the opposite phase, or either phase when
+        ``c`` does not mention the variable), and survives iff nothing
+        is left.
+        """
+        distinct = list(dict.fromkeys(self.cubes))
+        if len(distinct) < 2:
+            return Cover(self.num_vars, distinct)
+        counts = [c.num_literals() for c in distinct]
+        ranked = sorted(range(len(distinct)), key=counts.__getitem__)
+        below: Dict[int, int] = {}
+        pos_ranks: Dict[int, int] = {}
+        neg_ranks: Dict[int, int] = {}
+        for rank, i in enumerate(ranked):
+            bit = 1 << rank
+            below.setdefault(counts[i], bit - 1)
+            cube = distinct[i]
+            mask = cube.pos
+            while mask:
+                low = mask & -mask
+                pos_ranks[low] = pos_ranks.get(low, 0) | bit
+                mask ^= low
+            mask = cube.neg
+            while mask:
+                low = mask & -mask
+                neg_ranks[low] = neg_ranks.get(low, 0) | bit
+                mask ^= low
+        # Per variable bit: the ranks to keep when c has it positive,
+        # negative, or not at all.
+        keep = []
+        for low in pos_ranks.keys() | neg_ranks.keys():
+            pos, neg = pos_ranks.get(low, 0), neg_ranks.get(low, 0)
+            keep.append((low, ~neg, ~pos, ~(pos | neg)))
         kept: List[Cube] = []
-        # Sort by literal count so big cubes are considered first.
-        order = sorted(
-            range(len(self.cubes)), key=lambda i: self.cubes[i].num_literals()
-        )
-        chosen: List[Cube] = []
-        for i in order:
-            cube = self.cubes[i]
-            if any(other.contains(cube) for other in chosen):
-                continue
-            chosen.append(cube)
-        chosen_set = set(chosen)
-        for cube in self.cubes:  # preserve original ordering
-            if cube in chosen_set:
+        for i, cube in enumerate(distinct):
+            candidates = below[counts[i]]
+            pos, neg = cube.pos, cube.neg
+            for low, if_pos, if_neg, if_absent in keep:
+                if not candidates:
+                    break
+                if pos & low:
+                    candidates &= if_pos
+                elif neg & low:
+                    candidates &= if_neg
+                else:
+                    candidates &= if_absent
+            if not candidates:
                 kept.append(cube)
-                chosen_set.discard(cube)
         return Cover(self.num_vars, kept)
 
     # ------------------------------------------------------------------

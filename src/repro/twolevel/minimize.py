@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
-from repro.twolevel.complement import complement
+from repro.twolevel.complement import complement, complement_supercube
 from repro.twolevel.tautology import cover_contains_cube
 
 
@@ -105,7 +105,8 @@ def reduce_cover(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
     The classical rule: replace cube ``c`` with
     ``c AND supercube(complement((F \\ {c} + DC) cofactor c))`` — the
     smallest cube covering the minterms of ``c`` that no other cube
-    (or don't care) covers.
+    (or don't care) covers.  The supercube comes straight from
+    :func:`complement_supercube`; the complement is never built.
     """
     cubes = list(cover.cubes)
     order = sorted(range(len(cubes)), key=lambda i: cubes[i].num_literals())
@@ -115,13 +116,10 @@ def reduce_cover(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
         if dc_set is not None:
             rest.extend(dc_set.cubes)
         rest_cof = Cover(cover.num_vars, rest).cofactor_cube(cube)
-        uncovered = complement(rest_cof)
-        if uncovered.is_zero():
+        super_cube = complement_supercube(rest_cof)
+        if super_cube is None:
             # Fully covered elsewhere; keep as-is, irredundant removes it.
             continue
-        super_cube = uncovered.cubes[0]
-        for extra in uncovered.cubes[1:]:
-            super_cube = super_cube.supercube(extra)
         reduced = cube.intersect(super_cube)
         if reduced is not None:
             cubes[i] = reduced

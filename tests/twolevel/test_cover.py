@@ -1,7 +1,8 @@
 """Unit and property tests for covers."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
@@ -169,3 +170,71 @@ class TestProperties:
         nx = Cover(4, [Cube.literal(0, False)])
         rebuilt = x.intersect(pos).union(nx.intersect(neg))
         assert rebuilt.truth_mask() == cover.truth_mask()
+
+
+def pairwise_single_cube_containment(cover: Cover) -> Cover:
+    """The quadratic containment pass the bitset one replaced (oracle)."""
+    order = sorted(
+        range(len(cover.cubes)), key=lambda i: cover.cubes[i].num_literals()
+    )
+    chosen = []
+    for i in order:
+        cube = cover.cubes[i]
+        if any(other.contains(cube) for other in chosen):
+            continue
+        chosen.append(cube)
+    chosen_set = set(chosen)
+    kept = []
+    for cube in cover.cubes:
+        if cube in chosen_set:
+            kept.append(cube)
+            chosen_set.discard(cube)
+    return Cover(cover.num_vars, kept)
+
+
+@st.composite
+def nested_cover_st(draw, num_vars: int = 6, max_cubes: int = 8):
+    """A cover salted with repeated cubes and cubes nested in others."""
+    cubes = list(draw(cover_st(num_vars, max_cubes)).cubes)
+    for _ in range(draw(st.integers(0, 4))):
+        if not cubes:
+            break
+        base = cubes[draw(st.integers(0, len(cubes) - 1))]
+        grown = base.intersect(draw(cube_st(num_vars)))
+        if draw(st.booleans()) or grown is None:
+            grown = base  # a duplicate
+        cubes.insert(draw(st.integers(0, len(cubes))), grown)
+    return Cover(num_vars, cubes)
+
+
+class TestSingleCubeContainment:
+    def test_keeps_first_of_duplicates_in_order(self):
+        cover = parse("bc + ab + bc + a'd + ab")
+        assert cover.single_cube_containment().to_str(NAMES) == "bc + ab + a'd"
+
+    def test_drops_every_cube_under_a_full_cube(self):
+        cover = Cover(3, [Cube.parse("ab", NAMES), Cube.full(), Cube.full()])
+        assert cover.single_cube_containment() == Cover.one(3)
+
+    def test_nested_chain_keeps_only_the_largest(self):
+        cover = parse("abcd + abc + ab + a'b + abd")
+        assert cover.single_cube_containment().to_str(NAMES) == "ab + a'b"
+
+    def test_trivial_covers(self):
+        assert Cover.zero(2).single_cube_containment() == Cover.zero(2)
+        one = parse("ab'")
+        assert one.single_cube_containment() == one
+
+    @given(nested_cover_st())
+    @settings(max_examples=300)
+    def test_matches_pairwise_oracle(self, cover):
+        assert cover.single_cube_containment() == (
+            pairwise_single_cube_containment(cover)
+        )
+
+    @given(nested_cover_st(14, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pairwise_oracle_wide(self, cover):
+        assert cover.single_cube_containment() == (
+            pairwise_single_cube_containment(cover)
+        )

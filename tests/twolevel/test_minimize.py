@@ -1,10 +1,14 @@
 """Tests for the espresso-lite two-level minimizer."""
 
+from typing import Optional
+from unittest import mock
+
 from hypothesis import given, settings
 
 from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
 from repro.twolevel.complement import complement
+from repro.twolevel import minimize
 from repro.twolevel.minimize import (
     espresso,
     expand,
@@ -69,6 +73,48 @@ class TestReduce:
     def test_reduce_preserves_function(self):
         cover = parse("ab + b'c + ac")
         assert reduce_cover(cover).equivalent(cover)
+
+
+def complement_reduce_cover(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
+    """REDUCE as it was before SCCC: fold the built complement (oracle)."""
+    cubes = list(cover.cubes)
+    order = sorted(range(len(cubes)), key=lambda i: cubes[i].num_literals())
+    for i in order:
+        cube = cubes[i]
+        rest = [c for j, c in enumerate(cubes) if j != i]
+        if dc_set is not None:
+            rest.extend(dc_set.cubes)
+        rest_cof = Cover(cover.num_vars, rest).cofactor_cube(cube)
+        uncovered = complement(rest_cof)
+        if uncovered.is_zero():
+            continue
+        super_cube = uncovered.cubes[0]
+        for extra in uncovered.cubes[1:]:
+            super_cube = super_cube.supercube(extra)
+        reduced = cube.intersect(super_cube)
+        if reduced is not None:
+            cubes[i] = reduced
+    return Cover(cover.num_vars, cubes)
+
+
+class TestReduceMatchesComplementOracle:
+    @given(cover_st(4), cover_st(4, max_cubes=2))
+    @settings(max_examples=100, deadline=None)
+    def test_reduce_small(self, cover, dc):
+        assert reduce_cover(cover, dc) == complement_reduce_cover(cover, dc)
+
+    @given(cover_st(12, 10), cover_st(12, max_cubes=3))
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_wide(self, cover, dc):
+        assert reduce_cover(cover) == complement_reduce_cover(cover)
+        assert reduce_cover(cover, dc) == complement_reduce_cover(cover, dc)
+
+    @given(cover_st(12, 8), cover_st(12, max_cubes=2))
+    @settings(max_examples=30, deadline=None)
+    def test_espresso_unchanged(self, on, dc):
+        result = espresso(on, dc)
+        with mock.patch.object(minimize, "reduce_cover", complement_reduce_cover):
+            assert espresso(on, dc) == result
 
 
 class TestEspresso:
